@@ -156,30 +156,28 @@ def split_spaces(table: dict[str, np.ndarray], max_size: int) -> dict[str, np.nd
     pair and probability; ``base`` records its start offset so positions
     map back into the parent space.  Equivalence holds because the coin
     flips are independent across positions.
+
+    Segment ``g`` of a space starts at ``floor(g * (end / n_seg))``, the
+    float arithmetic of ``np.linspace(0, end, n_seg + 1, dtype=int64)``,
+    so bounds are bitwise-equal to it for ``end <= 2**53``; the last
+    segment ends at the exact integer ``end``, so larger spaces still tile.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    n_segments = np.maximum(1, -(-table["end"] // max_size))  # ceil div
-    total = int(n_segments.sum())
-    out = {
-        "i": np.empty(total, dtype=np.int64),
-        "j": np.empty(total, dtype=np.int64),
-        "p": np.empty(total, dtype=np.float64),
-        "end": np.empty(total, dtype=np.int64),
-        "base": np.empty(total, dtype=np.int64),
-    }
-    cursor = 0
-    for s in range(len(table["p"])):
-        segs = int(n_segments[s])
-        end = int(table["end"][s])
-        bounds = np.linspace(0, end, segs + 1, dtype=np.int64)
-        for g in range(segs):
-            out["i"][cursor] = table["i"][s]
-            out["j"][cursor] = table["j"][s]
-            out["p"][cursor] = table["p"][s]
-            out["end"][cursor] = bounds[g + 1] - bounds[g]
-            out["base"][cursor] = table["base"][s] + bounds[g]
-            cursor += 1
+    end = np.asarray(table["end"], dtype=np.int64)
+    n_seg = np.maximum(1, -(-end // max_size))  # ceil div
+    parent = np.repeat(np.arange(len(end)), n_seg)
+    last = np.cumsum(n_seg) - 1  # each space's final segment
+    g = np.arange(len(parent)) - (last - n_seg + 1)[parent]
+    step = end.astype(np.float64)[parent] / n_seg[parent]
+    lo = np.minimum(np.floor(g * step).astype(np.int64), end[parent])
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[last] = end
+    out = {k: np.asarray(table[k], dtype=np.int64)[parent] for k in ("i", "j")}
+    out["p"] = np.asarray(table["p"], dtype=np.float64)[parent]
+    out["end"] = hi - lo
+    out["base"] = np.asarray(table["base"], dtype=np.int64)[parent] + lo
     return out
 
 

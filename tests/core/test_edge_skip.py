@@ -2,12 +2,73 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
-from repro.core.edge_skip import generate_edges, skip_positions, triangle_unrank
+from repro.core.edge_skip import (
+    generate_edges, skip_positions, split_spaces, triangle_unrank,
+)
 from repro.graph.degree import DegreeDistribution
 from repro.parallel.runtime import ParallelConfig
+
+
+def _split_spaces_reference(table: dict[str, np.ndarray], max_size: int) -> dict[str, np.ndarray]:
+    """The original per-space ``np.linspace`` loop, kept as the oracle."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    n_segments = np.maximum(1, -(-table["end"] // max_size))  # ceil div
+    total = int(n_segments.sum())
+    out = {
+        "i": np.empty(total, dtype=np.int64),
+        "j": np.empty(total, dtype=np.int64),
+        "p": np.empty(total, dtype=np.float64),
+        "end": np.empty(total, dtype=np.int64),
+        "base": np.empty(total, dtype=np.int64),
+    }
+    cursor = 0
+    for s in range(len(table["p"])):
+        segs = int(n_segments[s])
+        end = int(table["end"][s])
+        bounds = np.linspace(0, end, segs + 1, dtype=np.int64)
+        for g in range(segs):
+            out["i"][cursor] = table["i"][s]
+            out["j"][cursor] = table["j"][s]
+            out["p"][cursor] = table["p"][s]
+            out["end"][cursor] = bounds[g + 1] - bounds[g]
+            out["base"][cursor] = table["base"][s] + bounds[g]
+            cursor += 1
+    return out
+
+
+def _table(end, base, seed=0) -> dict[str, np.ndarray]:
+    """A synthetic space table over the given extents and start offsets."""
+    rng = np.random.default_rng(seed)
+    n = len(end)
+    return {
+        "i": rng.integers(0, 40, n),
+        "j": rng.integers(0, 40, n),
+        "p": rng.random(n),
+        "end": np.asarray(end, dtype=np.int64),
+        "base": np.asarray(base, dtype=np.int64),
+    }
+
+
+@st.composite
+def _split_cases(draw):
+    """Multi-space tables with nonzero bases and ``end <= 2**53``.
+
+    Each extent is ``q * max_size + r``: ``q == 0`` gives
+    ``max_size >= end``, ``r == 0`` gives ``end % max_size == 0``, and a
+    ``max_size`` of 1 comes with small extents (``q <= 64``).
+    """
+    max_size = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**53 // 65)))
+    n = draw(st.integers(1, 8))
+    q = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+    r = draw(st.lists(st.one_of(st.just(0), st.integers(0, max_size - 1)),
+                      min_size=n, max_size=n))
+    base = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    end = [a * max_size + b for a, b in zip(q, r)]
+    return _table(end, base, draw(st.integers(0, 2**32))), max_size
 
 
 class TestSkipPositions:
@@ -286,6 +347,42 @@ class TestSpaceSplitting:
         table = _space_table(np.full((4, 4), 0.5), small_dist)
         with pytest.raises(ValueError):
             split_spaces(table, 0)
+
+    @given(_split_cases())
+    @example((_table([2**53, 2**53 - 1, 12345], [7, 8, 9]), 2**47))
+    @example((_table([10], [3]), 10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linspace_reference(self, case):
+        table, max_size = case
+        got = split_spaces(table, max_size)
+        want = _split_spaces_reference(table, max_size)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+    def test_spaces_beyond_2_53_tile_exactly(self):
+        """float64 cannot hold these extents; the segments must still cover
+        every position of each space exactly once."""
+        end = [2**60 + 12345, 2**60 - 1, 2**53 + 1, 5]
+        base = [11, 2**61, 3, 2**62]
+        table = _table(end, base)
+        max_size = 2**54 + 7
+        split = split_spaces(table, max_size)
+        n_seg = [max(1, -(-e // max_size)) for e in end]
+        assert len(split["end"]) == sum(n_seg)
+        assert (split["end"] >= 0).all()
+        first = 0
+        for s, segs in enumerate(n_seg):
+            sl = slice(first, first + segs)
+            first += segs
+            assert int(split["end"][sl].sum()) == end[s]
+            starts = split["base"][sl]
+            assert starts[0] == base[s]
+            np.testing.assert_array_equal(
+                starts[1:], (starts + split["end"][sl])[:-1])
+            for key in ("i", "j", "p"):
+                assert (split[key][sl] == table[key][s]).all()
 
     def test_split_output_still_simple_and_unbiased(self, small_dist):
         """Mean edge count is unchanged by splitting."""

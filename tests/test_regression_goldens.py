@@ -8,6 +8,8 @@ acceptance rate moving by 0.1, or the probability heuristic's residual
 doubling.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,50 @@ class TestExactBackendGoldens:
         assert int(out.sum()) == 17623
         assert out[:8].tolist() == [336, 948, 126, 557, 782, 68, 315, 15]
         assert out[-4:].tolist() == [296, 792, 175, 823]
+
+
+def _edge_digest(g) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(g.u, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(g.v, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestSplitPathGoldens:
+    """Exact pins for generation over split sample spaces.
+
+    ``max_space_size=7`` splits most Meso spaces into uneven segments, and
+    the process backend's fused pipeline splits as20's largest spaces to
+    balance its workers; any drift in the segment bounds moves the bits.
+    """
+
+    @pytest.mark.parametrize("backend, m, digest", [
+        ("vectorized", 3022,
+         "a3dfa88dc67b0241f98c0110105fd7b04f497727fc9c912e4557c2dbd8b53d72"),
+        ("process", 3113,
+         "e35555fa716628c7ba4d039881905a5703b91069823bf3f2ac5500c402802e3a"),
+    ])
+    def test_generate_edges_max_space_size(self, backend, m, digest):
+        from repro.core.edge_skip import generate_edges
+
+        dist = load("Meso")
+        g = generate_edges(
+            generate_probabilities(dist).P, dist,
+            ParallelConfig(threads=2, backend=backend, seed=31),
+            max_space_size=7,
+        )
+        assert g.m == m
+        assert _edge_digest(g) == digest
+
+    def test_process_fused_generate_graph(self):
+        g, report = generate_graph(
+            load("as20"), swap_iterations=1,
+            config=ParallelConfig(threads=2, backend="process", seed=13),
+        )
+        assert report.fused
+        assert g.m == 12119
+        assert _edge_digest(g) == (
+            "b81c3ab28a7aa807b2ab184e62b653502cc4725755c2914d5956f8047ea9fec4")
 
 
 class TestUniformityGolden:
