@@ -374,7 +374,7 @@ def suite(
     seed: int = 5,
     scale: float | None = None,
 ) -> ExperimentResult:
-    """Tracked perf suite: datasets × backends × autotune (BENCH_suite.json)."""
+    """Tracked perf suite: datasets × backends (BENCH_suite.json)."""
     dists = {name: SPECS[name].synthesize(scale) for name in datasets}
     return suite_benchmark(
         dists, swap_iterations=swap_iterations, threads=threads, seed=seed,

@@ -274,39 +274,35 @@ def pipeline_benchmark(
 
 
 #: the BENCH_suite.json layout version (bump on breaking payload changes)
-SUITE_SCHEMA = 1
+SUITE_SCHEMA = 2
 
 
 def suite_benchmark(
     dists: dict[str, DegreeDistribution],
     *,
     backends: tuple[str, ...] = ("vectorized", "process"),
-    autotune_modes: tuple[bool, ...] = (False, True),
     swap_iterations: int = 1,
     threads: int = 8,
     seed: int = 5,
     warmup: bool = True,
 ) -> ExperimentResult:
-    """The tracked performance suite: datasets × backends × autotune.
+    """The tracked performance suite: datasets × backends.
 
     Runs the full :func:`~repro.core.generate.generate_graph` pipeline
-    for every combination, records per-phase wall seconds and edge
-    throughput, and asserts that within a (dataset, backend) pair every
-    autotune mode produces the *same graph* — autotune is an execution
-    choice, never a result choice, so a divergence here is a correctness
-    bug, not a perf regression.  (Backends are *not* compared to each
-    other: generation's space splitting is backend-dependent, so their
-    RNG streams — and thus their equally-valid samples — differ.)
+    for every combination and records per-phase wall seconds and edge
+    throughput.  (Backends are *not* compared to each other: generation's
+    space splitting is backend-dependent, so their RNG streams — and thus
+    their equally-valid samples — differ.)
 
     ``series["bench"]`` carries the machine-readable payload the CLI
     writes as ``BENCH_suite.json``; the committed copy at the repo root
     is the baseline the perf-regression gate
     (``tests/bench/test_perf_regression.py``) compares against.  Layout
-    (``SUITE_SCHEMA`` = 1)::
+    (``SUITE_SCHEMA`` = 2)::
 
-        {"benchmark": "suite", "schema": 1, "threads": p, "workers": w,
+        {"benchmark": "suite", "schema": 2, "threads": p, "workers": w,
          "swap_iterations": k, "seed": s,
-         "entries": [{"dataset", "backend", "autotune", "edges",
+         "entries": [{"dataset", "backend", "edges",
                       "total_seconds", "phase_seconds": {phase: sec},
                       "edges_per_s"}, ...]}
     """
@@ -317,55 +313,36 @@ def suite_benchmark(
         name="suite",
         description=(
             f"performance suite: {len(dists)} dataset(s) × {len(backends)} "
-            f"backend(s) × autotune off/on, p={threads}, "
-            f"{swap_iterations} swap iteration(s)"
+            f"backend(s), p={threads}, {swap_iterations} swap iteration(s)"
         ),
-        columns=["dataset", "backend", "autotune", "seconds", "edges",
-                 "edges_per_s"],
+        columns=["dataset", "backend", "seconds", "edges", "edges_per_s"],
     )
     for dataset, dist in dists.items():
         for backend in backends:
-            reference = None
-            for autotune in autotune_modes:
-                config = ParallelConfig(
-                    threads=threads, backend=backend, seed=seed,
-                    autotune=autotune,
+            config = ParallelConfig(threads=threads, backend=backend, seed=seed)
+            if warmup:
+                generate_graph(
+                    dist, swap_iterations=min(swap_iterations, 1), config=config
                 )
-                if warmup:
-                    generate_graph(
-                        dist, swap_iterations=min(swap_iterations, 1),
-                        config=config,
-                    )
-                with Timer() as t:
-                    out, report = generate_graph(
-                        dist, swap_iterations=swap_iterations, config=config
-                    )
-                if reference is None:
-                    reference = out
-                elif not np.array_equal(out.u, reference.u) or not np.array_equal(
-                    out.v, reference.v
-                ):
-                    raise AssertionError(
-                        f"{dataset}: {backend}/autotune={autotune} diverged "
-                        "from the reference variant"
-                    )
-                total = t.seconds
-                entry = {
-                    "dataset": dataset,
-                    "backend": backend,
-                    "autotune": bool(autotune),
-                    "edges": int(report.edges_generated),
-                    "total_seconds": total,
-                    "phase_seconds": dict(report.phase_seconds),
-                    "edges_per_s": (
-                        report.edges_generated / total if total > 0 else 0.0
-                    ),
-                }
-                entries.append(entry)
-                result.add(
-                    dataset, backend, bool(autotune), total,
-                    entry["edges"], entry["edges_per_s"],
+            with Timer() as t:
+                _, report = generate_graph(
+                    dist, swap_iterations=swap_iterations, config=config
                 )
+            total = t.seconds
+            entry = {
+                "dataset": dataset,
+                "backend": backend,
+                "edges": int(report.edges_generated),
+                "total_seconds": total,
+                "phase_seconds": dict(report.phase_seconds),
+                "edges_per_s": (
+                    report.edges_generated / total if total > 0 else 0.0
+                ),
+            }
+            entries.append(entry)
+            result.add(
+                dataset, backend, total, entry["edges"], entry["edges_per_s"]
+            )
     result.series["bench"] = {
         "benchmark": "suite",
         "schema": SUITE_SCHEMA,

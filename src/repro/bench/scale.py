@@ -10,8 +10,8 @@ provides the tracked middle ground:
   machines and sessions without shipping data files;
 - :func:`scale_benchmark` — the same generation+swap pipeline run three
   ways: all in RAM, forced through the mmap backing store, and under an
-  artificially tiny ``memory_budget_bytes`` that makes the autotuner
-  spill.  Outputs must be bitwise-identical across all three (the
+  artificially tiny ``memory_budget_bytes`` that makes the storage
+  planner spill.  Outputs must be bitwise-identical across all three (the
   out-of-core engine's core invariant); throughput and the peak mapped
   footprint land in ``BENCH_scale.json`` via the CLI, next to
   ``BENCH_suite.json`` in the repo's perf-trajectory record.

@@ -42,6 +42,7 @@ from repro.core.probabilities import ProbabilityResult, generate_probabilities
 from repro.core.storage import (
     generation_working_set_bytes,
     open_store,
+    plan_storage,
     swap_working_set_bytes,
 )
 from repro.core.swap import (
@@ -63,12 +64,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import record_memory_stats, record_table_stats
 from repro.obs.mixing import MixingProbe
 from repro.parallel import faultinject
-from repro.parallel.autotune import (
-    TuneSnapshot,
-    plan_generation,
-    plan_storage,
-    plan_swap,
-)
 from repro.parallel.cost_model import CostModel
 from repro.parallel.hashtable import (
     ShardedEdgeHashTable,
@@ -656,34 +651,6 @@ def _generate_fused(
     ]
     n_owners = config.processes or available_workers(config.threads)
     n_shards = effective_shard_count(config.shards or None, config.threads)
-    if config.autotune:
-        # pre-generation re-plan: shard geometry is baked into the gen
-        # workers' key grouping, so workers and shards must be decided
-        # *now*, from the expected edge count Σ p·|space| and the
-        # measured probabilities phase as a per-op cost calibration
-        expected_edges = int(round(float((spaces["p"] * spaces["end"]).sum())))
-        try:
-            prob_cost = cost.phase("probabilities")
-        except KeyError:
-            prob_cost = None
-        plan = plan_generation(
-            config,
-            expected_edges=expected_edges,
-            host_workers=available_workers(config.threads),
-            probability_cost=prob_cost,
-        )
-        applied = plan.processes != n_owners or plan.shards != n_shards
-        tr = obs_trace.current()
-        if tr is not None:
-            tr.event(
-                "tune.replan", phase="generation", applied=applied,
-                workers=plan.processes, shards=plan.shards,
-                batch_size=plan.batch_size,
-                expected_edges=expected_edges, reason=plan.reason,
-            )
-            tr.metrics.inc("tune.replans")
-        n_owners = plan.processes
-        n_shards = plan.shards
 
     # per-chunk buffer capacity: expectation plus six-sigma Poisson slack
     expect = [
@@ -842,35 +809,8 @@ def _generate_fused(
                 arena=arena,
                 spill=splan.table_spill,
             )
-            # exchange capacity: the only post-generation knob the fused
-            # path can re-plan (workers and shards are baked into the
-            # generated key grouping); a smaller buffer bounds /dev/shm
-            # and splits oversized TAS batches into sequential
-            # sub-batches with identical verdicts
-            capacity = m
-            if config.batch_size:
-                capacity = min(m, max(1, config.batch_size))
-            elif config.autotune:
-                snap = TuneSnapshot(
-                    edges=m,
-                    host_workers=available_workers(config.threads),
-                    workers=pool.n_workers,
-                    shards=table.n_shards,
-                    batch_size=m,
-                )
-                batch_plan = plan_swap(config, snap)
-                capacity = min(m, batch_plan.batch_size)
-                tr = obs_trace.current()
-                if tr is not None:
-                    tr.event(
-                        "tune.replan", phase="swap_setup",
-                        applied=capacity != m, workers=pool.n_workers,
-                        shards=table.n_shards, batch_size=capacity,
-                        edges=m, reason=batch_plan.reason,
-                    )
-                    tr.metrics.inc("tune.replans")
-            tas_keys = arena.allocate("tas_keys", (capacity,), np.int64)
-            tas_flags = arena.allocate("tas_flags", (capacity,), np.uint8)
+            tas_keys = arena.allocate("tas_keys", (m,), np.int64)
+            tas_flags = arena.allocate("tas_flags", (m,), np.uint8)
             # zero-rebuild handoff: worker w inserts its own key groups,
             # concatenated in chunk order == global edge order, so the
             # swap loop starts with the table registered for iteration 0

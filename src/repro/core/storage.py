@@ -44,6 +44,7 @@ import tempfile
 import time
 import weakref
 import zlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,8 @@ __all__ = [
     "ChunkGuard",
     "open_store",
     "select_store",
+    "StoragePlan",
+    "plan_storage",
     "spill_dir",
     "reap_stale_spill",
     "report_stale_spill",
@@ -126,10 +129,10 @@ def create_spill_file(nbytes: int, *, directory: str | None = None) -> str:
 # -- byte-budget estimates -------------------------------------------------
 #
 # Closed-form working-set estimates the storage planner consumes (see
-# :func:`repro.parallel.autotune.plan_storage`).  They count the
-# *persistent* per-run arrays a store backs; transient proposal
-# temporaries (O(m/2) per swap iteration, required whole-batch for
-# bitwise-identical TestAndSet ordering) stay in RAM and are excluded.
+# :func:`plan_storage`).  They count the *persistent* per-run arrays a
+# store backs; transient proposal temporaries (O(m/2) per swap
+# iteration, required whole-batch for bitwise-identical TestAndSet
+# ordering) stay in RAM and are excluded.
 
 
 def generation_working_set_bytes(m: int) -> int:
@@ -160,6 +163,90 @@ def select_store(kind: str, working_set_bytes: int, budget_bytes: int) -> str:
     if budget_bytes > 0 and int(working_set_bytes) > int(budget_bytes):
         return "mmap"
     return "ram"
+
+
+#: minimum windowed-permutation window (elements); smaller windows pay
+#: one python-level loop iteration per handful of rows for no residency
+#: benefit
+_MIN_WINDOW = 1 << 14
+
+
+@dataclass(frozen=True)
+class StoragePlan:
+    """A memory-budget-aware storage decision for one phase.
+
+    Attributes
+    ----------
+    store:
+        Resolved backing store for the phase's persistent arrays:
+        ``"ram"`` or ``"mmap"`` (never ``"auto"``).
+    window:
+        Elements per windowed copy/permutation step.  Sized so one
+        window of every simultaneously-touched array fits comfortably in
+        the budget; ``0`` when the store is ``"ram"`` (fancy indexing
+        stays whole-array).
+    table_spill:
+        Whether the sharded hash table should use file-backed segments
+        (its estimated footprint does not fit the budget either).
+    reason:
+        Human-readable decision record, mirrored into the ``tune.replan``
+        trace event (``compare=False`` so plans compare on substance).
+    """
+
+    store: str
+    window: int
+    table_spill: bool
+    reason: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        if self.store not in ("ram", "mmap"):
+            raise ValueError(f"store must be 'ram' or 'mmap', got {self.store!r}")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
+
+
+def plan_storage(
+    config,
+    *,
+    working_set_bytes: int,
+    table_bytes: int = 0,
+    phase: str = "run",
+) -> StoragePlan:
+    """Choose store, window size, and table spill for one phase.
+
+    Deterministic in its inputs: ``config.store`` and
+    ``config.memory_budget_bytes`` plus the phase's estimated persistent
+    working set (and optionally the hash table's shared-segment
+    footprint).  It only moves execution geometry — outputs are
+    bitwise-identical whichever plan comes back.
+    """
+    budget = int(config.memory_budget_bytes)
+    kind = config.store
+    working_set_bytes = int(working_set_bytes)
+    table_bytes = int(table_bytes)
+    store = select_store(kind, working_set_bytes, budget)
+    if store == "ram":
+        window = 0
+    elif budget > 0:
+        # a permutation step touches ~4 arrays (src window, dst window,
+        # the order slice, and the gathered source pages), int64 rows;
+        # aim each step at ~1/8 of the budget
+        window = max(_MIN_WINDOW, min(DEFAULT_WINDOW, budget // (8 * 4 * 8)))
+    else:
+        window = DEFAULT_WINDOW
+    table_spill = bool(
+        budget > 0 and table_bytes > 0 and table_bytes + working_set_bytes > budget
+    )
+    return StoragePlan(
+        store=store,
+        window=int(window),
+        table_spill=table_spill,
+        reason=(
+            f"{phase}: working_set={working_set_bytes} table={table_bytes} "
+            f"budget={budget} store={kind!r} -> {store} window={window} "
+            f"table_spill={table_spill}"
+        ),
+    )
 
 
 # -- stores ----------------------------------------------------------------

@@ -68,9 +68,9 @@ from repro.core.storage import (
     copy_into,
     open_store,
     permute_into,
+    plan_storage,
     swap_working_set_bytes,
 )
-from repro.parallel.autotune import plan_storage
 from repro.graph.edgelist import EdgeList
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import record_memory_stats, record_table_stats
@@ -94,8 +94,9 @@ from repro.parallel.runtime import ParallelConfig
 
 __all__ = ["SwapStats", "swap_edges", "fused_swap_loop", "serial_swap_chain"]
 
-#: uniquifier for store-backed working arrays (the autotune probe split
-#: re-enters the loop on one store, so array names cannot be static)
+#: uniquifier for store-backed working-array names: an MmapStore refuses
+#: a repeated name, and the counter keeps every allocation distinct
+#: whichever phases share a store
 _STORE_SEQ = itertools.count()
 
 
@@ -103,9 +104,8 @@ def _open_swap_store(config, m):
     """Plan and (if spilling) open the swap phase's backing store.
 
     Returns ``(store, window, plan)`` where ``store`` is ``None`` for a
-    RAM plan.  The decision is recorded as a ``tune.replan`` trace event
-    with ``phase="storage"`` so traced runs document spill choices
-    alongside the geometry re-plans.
+    RAM plan.  A spilling decision is recorded as a ``tune.replan`` trace
+    event with ``phase="storage"`` so traced runs document it.
     """
     plan = plan_storage(
         config,
@@ -159,8 +159,8 @@ class SwapStats:
     #: hash-table contention across iterations — execution observability,
     #: not part of the result contract: attempt/failure counts depend on
     #: batch grouping and shard geometry (serial probes key-at-a-time,
-    #: the sharded table re-probes per round, autotune re-plans shards
-    #: mid-run), while the verdict stream they produce is identical.
+    #: the sharded table re-probes per round, shard counts differ across
+    #: configs), while the verdict stream they produce is identical.
     #: Excluded from equality, like ``degraded``/``faults``/``mixing``
     table_failures: int = field(default=0, compare=False)
     table_attempts: int = field(default=0, compare=False)
@@ -686,7 +686,7 @@ def swap_edges(
     )
     with _maybe_span("swap:chain", backend=config.backend,
                      iterations=iterations, m=m):
-        u, v, swapped = _swap_loop(
+        u, v = _swap_loop(
             u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
             check_duplicates, check_loops, loop_stats, cost, callback, graph.n,
             start_iteration=start_it, checkpointer=ckpt,
@@ -766,10 +766,8 @@ def _swap_edges_process(
     shm.ensure_shm_capacity(
         _swap_shm_estimate(m, config), label="process swap engine"
     )
-    capacity = min(m, config.batch_size) if config.batch_size else m
     table = None
     engine = None
-    pool_faults: list[FaultEvent] = []
     try:
         table = ShardedEdgeHashTable(
             2 * m + 16,
@@ -778,73 +776,8 @@ def _swap_edges_process(
             workers_hint=config.threads,
             spill=splan.table_spill,
         )
-        engine = SwapWorkerPool(
-            table, config.threads, capacity=capacity, config=config
-        )
-        # Observation-driven re-planning: run exactly one iteration on
-        # the static geometry, snapshot what it cost (wall seconds, the
-        # table's contention counters), and re-plan workers/shards/batch
-        # for the remaining iterations.  Applying the plan at an
-        # iteration boundary is bitwise-safe — every iteration rebuilds
-        # the table from the edge array, and TestAndSet verdicts are
-        # geometry-independent — so only the execution changes.
-        if config.autotune and iterations - start_it > 1:
-            from repro.parallel.autotune import TuneSnapshot, plan_swap
-            from repro.parallel.mp_backend import available_workers
-
-            t_probe = time.perf_counter()
-            u, v, swapped = _swap_loop(
-                u, v, swapped, start_it + 1, m, n_pairs, rng, config, table,
-                engine.test_and_set, True, check_loops, local_stats,
-                local_cost, callback, graph.n, start_iteration=start_it,
-                checkpointer=checkpointer, store=run_store, window=window,
-            )
-            snapshot = TuneSnapshot(
-                edges=m,
-                host_workers=available_workers(config.threads),
-                seconds=time.perf_counter() - t_probe,
-                table_attempts=int(table.stats.attempts),
-                table_failures=int(table.stats.failures),
-                workers=engine.n_workers,
-                shards=table.n_shards,
-                batch_size=capacity,
-            )
-            plan = plan_swap(config, snapshot)
-            applied = plan.applies_to(
-                workers=engine.n_workers, shards=table.n_shards,
-                batch_size=capacity,
-            )
-            tr = obs_trace.current()
-            if tr is not None:
-                tr.event(
-                    "tune.replan", phase="swap", applied=applied,
-                    workers=plan.processes, shards=plan.shards,
-                    batch_size=plan.batch_size, edges=m,
-                    probe_seconds=round(snapshot.seconds, 9),
-                    table_attempts=snapshot.table_attempts,
-                    table_failures=snapshot.table_failures,
-                    reason=plan.reason,
-                )
-                tr.metrics.inc("tune.replans")
-            start_it = start_it + 1
-            if applied:
-                # retire the probe geometry: bank its contention view and
-                # recovery history before tearing it down
-                if tr is not None:
-                    record_table_stats(tr.metrics, table)
-                pool_faults.extend(engine.faults)
-                engine.close()
-                table.close()
-                engine = table = None
-                capacity = min(m, plan.batch_size)
-                table = ShardedEdgeHashTable(
-                    2 * m + 16, n_shards=plan.shards, probing=probing,
-                    workers_hint=config.threads, spill=splan.table_spill,
-                )
-                engine = SwapWorkerPool(
-                    table, plan.processes, capacity=capacity, config=config
-                )
-        u, v, swapped = _swap_loop(
+        engine = SwapWorkerPool(table, config.threads, capacity=m, config=config)
+        u, v = _swap_loop(
             u, v, swapped, iterations, m, n_pairs, rng, config, table,
             engine.test_and_set, True, check_loops, local_stats, local_cost,
             callback, graph.n, start_iteration=start_it,
@@ -853,7 +786,6 @@ def _swap_edges_process(
         if stats is not None:
             stats.merge_from(local_stats)
             # recoveries that *succeeded* still happened; surface them
-            stats.faults.extend(pool_faults)
             stats.faults.extend(engine.faults)
         if cost is not None:
             cost.merge(local_cost)
@@ -886,7 +818,7 @@ def _swap_loop(
     checkpointer=None,
     store=None,
     window: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The per-iteration body of :func:`swap_edges` (backend-agnostic).
 
     With ``preregistered=True`` the first iteration's clear + edge
@@ -1009,6 +941,7 @@ def _swap_loop(
                         verify_table_registration(table, keys)
 
         # Phase 2: parallel permutation of the edge list.
+        t_perm = time.perf_counter()
         perm_stats = PermutationStats()
         order = parallel_permutation(
             np.arange(m, dtype=np.int64),
@@ -1020,6 +953,7 @@ def _swap_loop(
         swapped = _permuted("swapped", swapped, order)
         if keys is not None:
             keys = _permuted("keys", keys, order)
+        perm_seconds = time.perf_counter() - t_perm
 
         # Phase 3: propose swaps on adjacent pairs.
         accepted = 0
@@ -1092,12 +1026,14 @@ def _swap_loop(
             stats.table_failures += table.stats.failures - failures_before
             stats.permutation_rounds += perm_stats.rounds
         if cost is not None:
+            # measured split: the permutation span (draw + gathers) is
+            # charged to "permutation", the rest of the round to "swap"
             elapsed = time.perf_counter() - t0
-            cost.add("permutation", work=float(perm_stats.attempts * 2), depth=float(perm_stats.rounds), seconds=elapsed * 0.4)
+            cost.add("permutation", work=float(perm_stats.attempts * 2), depth=float(perm_stats.rounds), seconds=perm_seconds)
             # the O(1) proposal span can exceed 2m ops only on degenerate
             # near-empty inputs; the span is capped by the work by definition
             swap_depth = min(float(2 * m), float(4 + (table.stats.failures - failures_before > 0)))
-            cost.add("swap", work=float(2 * m), depth=swap_depth, seconds=elapsed * 0.6)
+            cost.add("swap", work=float(2 * m), depth=swap_depth, seconds=elapsed - perm_seconds)
         tr = obs_trace.current()
         if tr is not None:
             tr.event(
@@ -1132,10 +1068,7 @@ def _swap_loop(
             label="swap",
         )
 
-    # swapped is returned because the permutation rebinds it (fancy
-    # indexing copies): callers that re-enter the loop — the autotune
-    # probe/remainder split — must hand the *permuted* array back in
-    return u, v, swapped
+    return u, v
 
 
 def fused_swap_loop(
@@ -1173,7 +1106,7 @@ def fused_swap_loop(
         swapped[:] = False
     else:
         swapped = np.zeros(m, dtype=bool)
-    u, v, _ = _swap_loop(
+    u, v = _swap_loop(
         u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
         True, True, stats, cost, callback, n_vertices, preregistered=True,
         checkpointer=checkpointer, store=store, window=window,

@@ -86,23 +86,6 @@ class ParallelConfig:
         :mod:`repro.parallel.faultinject`); empty string (default) means
         the plan comes from the ``REPRO_FAULTS`` environment variable,
         if set.  Production runs leave both unset.
-    batch_size:
-        Maximum keys per TestAndSet exchange round for the process
-        backend.  ``0`` (default) sizes the exchange buffers to the full
-        edge count (one round per batch, the historical behavior); a
-        smaller value bounds shared-memory use and splits oversized
-        batches into sequential sub-batches.  Verdicts are unaffected
-        (first-occurrence semantics hold across sequential sub-batches);
-        only the contention accounting differs.
-    autotune:
-        When ``True``, the process backend re-plans workers, shards, and
-        batch size from first-batch observations (see
-        :mod:`repro.parallel.autotune`), recording each decision as a
-        ``tune.replan`` trace event.  Outputs are bitwise-identical to a
-        static run with the same seed; only execution geometry changes.
-        Pin any of ``processes``/``shards``/``batch_size`` to a non-zero
-        value to opt that knob out of tuning.  No-op for the
-        ``vectorized``/``serial`` backends.
     store:
         Backing store for the big per-run arrays (edge endpoints, packed
         table keys, swapped flags): ``"ram"`` (plain arrays, the
@@ -116,7 +99,7 @@ class ParallelConfig:
         (default) means unlimited (``"auto"`` never spills).  A positive
         budget drives the ``"auto"`` store choice, the windowed-swap
         window size, and hash-table spill (see
-        :func:`repro.parallel.autotune.plan_storage`).
+        :func:`repro.core.storage.plan_storage`).
     verify:
         Integrity-verification tier (see :mod:`repro.verify`): ``"off"``
         (default; no added checks), ``"cheap"`` (O(m) invariant checks at
@@ -135,8 +118,6 @@ class ParallelConfig:
     max_worker_restarts: int = 2
     batch_deadline: float | None = None
     faults: str = ""
-    batch_size: int = 0
-    autotune: bool = False
     store: str = "auto"
     memory_budget_bytes: int = 0
     verify: str = "off"
@@ -160,8 +141,6 @@ class ParallelConfig:
             raise ValueError(
                 f"batch_deadline must be positive or None, got {self.batch_deadline}"
             )
-        if self.batch_size < 0:
-            raise ValueError(f"batch_size must be >= 0, got {self.batch_size}")
         if self.store not in ("auto", "ram", "mmap"):
             raise ValueError(
                 f"store must be one of ('auto', 'ram', 'mmap'), got {self.store!r}"

@@ -4,7 +4,7 @@ Two tiers:
 
 - The unmarked tests are tier-1: they validate the *committed*
   ``BENCH_suite.json`` — schema version, coverage (≥ 3 datasets × ≥ 2
-  backends × autotune off/on), and payload sanity — without running any
+  backends), and payload sanity — without running any
   benchmark, so the gate's contract is checked on every test run.
 - ``test_no_phase_regression`` is ``perf``-marked (excluded from the
   default run by the ``addopts`` marker filter): it compares a freshly
@@ -33,7 +33,7 @@ TOL = 0.20
 FLOOR = 0.25
 
 REQUIRED_ENTRY_KEYS = {
-    "dataset", "backend", "autotune", "edges", "total_seconds",
+    "dataset", "backend", "edges", "total_seconds",
     "phase_seconds", "edges_per_s",
 }
 
@@ -57,18 +57,17 @@ class TestCommittedBaseline:
         assert payload["schema"] == SUITE_SCHEMA
 
     def test_coverage_matrix(self):
-        """The acceptance floor: ≥ 3 datasets × ≥ 2 backends, both
-        autotune modes, every combination present."""
+        """The acceptance floor: ≥ 3 datasets × ≥ 2 backends, every
+        combination present."""
         entries = load_baseline()["entries"]
         datasets = {e["dataset"] for e in entries}
         backends = {e["backend"] for e in entries}
         assert len(datasets) >= 3, datasets
         assert len(backends) >= 2, backends
-        seen = {(e["dataset"], e["backend"], e["autotune"]) for e in entries}
+        seen = {(e["dataset"], e["backend"]) for e in entries}
         for d in datasets:
             for b in backends:
-                for a in (False, True):
-                    assert (d, b, a) in seen, f"missing suite cell {(d, b, a)}"
+                assert (d, b) in seen, f"missing suite cell {(d, b)}"
 
     def test_entry_payloads_sane(self):
         for e in load_baseline()["entries"]:
@@ -96,13 +95,13 @@ def test_no_phase_regression():
     baseline = load_baseline()
     measured = _measured_suite()
     base_by_cell = {
-        (e["dataset"], e["backend"], e["autotune"]): e
+        (e["dataset"], e["backend"]): e
         for e in baseline["entries"]
     }
     regressions = []
     compared = 0
     for entry in measured["entries"]:
-        cell = (entry["dataset"], entry["backend"], entry["autotune"])
+        cell = (entry["dataset"], entry["backend"])
         base = base_by_cell.get(cell)
         if base is None:
             continue  # new cell: nothing to regress against

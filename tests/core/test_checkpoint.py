@@ -193,21 +193,19 @@ class TestSwapResume:
         np.testing.assert_array_equal(res.v, ref.v)
         assert res_stats == ref_stats
 
-    @pytest.mark.parametrize(
-        "take_auto,resume_auto", [(False, True), (True, False)]
-    )
-    def test_cross_autotune_resume(self, tmp_path, take_auto, resume_auto):
-        """autotune and batch_size are execution knobs, not run identity:
-        a checkpoint taken under the static kernels resumes mid-run under
-        the autotuned ones (and back) bit for bit — the fingerprint must
-        exclude both."""
+    @pytest.mark.parametrize("take_shards,resume_shards", [(0, 64), (64, 0)])
+    def test_cross_shards_resume(self, tmp_path, take_shards, resume_shards):
+        """The shard count is an execution knob, not run identity: a
+        checkpoint taken under the default shard geometry resumes mid-run
+        under 64 shards (and back) bit for bit — the fingerprint must
+        exclude it."""
         g = _graph(seed=5)
         ref = swap_edges(g, 6, ParallelConfig(seed=21, threads=2, backend="process"))
         swap_edges(
             g,
             6,
             ParallelConfig(
-                seed=21, threads=2, backend="process", autotune=take_auto
+                seed=21, threads=2, backend="process", shards=take_shards
             ),
             checkpoint_dir=tmp_path,
             checkpoint_every=2,
@@ -218,8 +216,7 @@ class TestSwapResume:
             g,
             6,
             ParallelConfig(
-                seed=21, threads=2, backend="process", autotune=resume_auto,
-                batch_size=64 if resume_auto else 0,
+                seed=21, threads=2, backend="process", shards=resume_shards
             ),
             stats=out_stats,
             resume_from=tmp_path,

@@ -77,14 +77,14 @@ class TestCrossStoreMatrix:
         )
         assert leftovers == []
 
-    def test_autotuned_process_run_matches_static_under_mmap(self):
-        """Autotuning reshapes execution, never results — including when
-        the replan happens on a store-backed run."""
+    def test_process_count_never_changes_the_graph_under_mmap(self):
+        """The worker-process count reshapes execution, never results —
+        including on a store-backed run."""
         dist = _dist()
         outs = []
-        for autotune in (False, True):
+        for processes in (1, 2):
             cfg = ParallelConfig(
-                threads=2, backend="process", seed=5, autotune=autotune,
+                threads=2, backend="process", seed=5, processes=processes,
                 store="mmap",
             )
             out, _ = generate_graph(dist, swap_iterations=2, config=cfg)

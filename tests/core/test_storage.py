@@ -42,12 +42,13 @@ from repro.core.storage import (
     open_store,
     permute_into,
     reap_stale_spill,
+    StoragePlan,
+    plan_storage,
     select_store,
     swap_working_set_bytes,
     total_bytes_mapped,
 )
 from repro.graph.degree import DegreeDistribution
-from repro.parallel.autotune import StoragePlan, plan_storage
 from repro.parallel.runtime import ParallelConfig
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")

@@ -358,3 +358,28 @@ class TestSwapStatsAccumulation:
         assert int(keys.sum()) == 807453852012
         assert keys[0] == 3 and int(keys[-1]) == 81604378644
         np.testing.assert_array_equal(g.degree_sequence(), out.degree_sequence())
+
+
+class TestCostSplit:
+    def test_permutation_seconds_are_measured(self, monkeypatch):
+        """Each round's permutation span (draw + gathers) is charged to
+        "permutation" and the rest of the round to "swap" — measured, not
+        a fixed share of the round's wall time."""
+        import time
+
+        import repro.core.swap as swap_mod
+        from repro.parallel.cost_model import CostModel
+
+        real = swap_mod.parallel_permutation
+
+        def slow_permutation(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swap_mod, "parallel_permutation", slow_permutation)
+        cost = CostModel()
+        swap_edges(
+            random_simple_graph(50, 150, 4), 2,
+            ParallelConfig(threads=2, backend="vectorized", seed=1), cost=cost,
+        )
+        assert cost.phase("permutation").seconds >= 0.1 > cost.phase("swap").seconds

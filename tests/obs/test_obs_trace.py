@@ -203,49 +203,8 @@ class TestFusedPipeline:
 
 
 class TestAutotuneEvents:
-    """``tune.replan`` trace events: every autotuner decision is
-    recorded, carries a complete payload, and the resulting trace still
-    validates against the versioned schema."""
-
-    def test_fused_run_emits_replan_events(self, skewed_dist, tmp_path):
-        path = tmp_path / "tuned.jsonl"
-        cfg = ParallelConfig(threads=2, backend="process", seed=3,
-                             autotune=True)
-        with RunTrace(path) as tr:
-            _, report = generate_graph(skewed_dist, swap_iterations=2,
-                                       config=cfg)
-        assert report.fused
-        replans = tr.events("tune.replan")
-        phases = [e["attrs"]["phase"] for e in replans]
-        # the fused pipeline plans once before generation and once when
-        # sizing the swap exchange
-        assert phases == ["generation", "swap_setup"]
-        for ev in replans:
-            attrs = ev["attrs"]
-            assert isinstance(attrs["applied"], bool)
-            assert attrs["workers"] >= 1
-            assert attrs["shards"] >= 1
-            assert attrs["batch_size"] >= 1
-            assert isinstance(attrs["reason"], str) and attrs["reason"]
-        assert tr.metrics.counters["tune.replans"] == len(replans)
-        # the JSONL file on disk validates against the trace schema
-        summary = validate_trace_file(path)
-        assert summary["roots"] == ["generate"]
-
-    def test_process_swap_emits_probe_backed_replan(self):
-        graph = _ring()
-        cfg = ParallelConfig(threads=2, backend="process", seed=7,
-                             autotune=True)
-        with RunTrace() as tr:
-            swap_edges(graph, 3, cfg)
-        (ev,) = tr.events("tune.replan")
-        attrs = ev["attrs"]
-        assert attrs["phase"] == "swap"
-        # the standalone chain replans from a measured first iteration
-        assert attrs["probe_seconds"] > 0
-        assert attrs["table_attempts"] >= attrs["table_failures"] >= 0
-        assert attrs["edges"] == len(graph.u)
-        validate_trace(tr.records())
+    """``tune.replan`` is emitted only by the storage planner, and only
+    when it spills: a static in-RAM run records none."""
 
     def test_static_run_emits_no_replan(self, skewed_dist):
         cfg = ParallelConfig(threads=2, backend="process", seed=3)

@@ -125,30 +125,31 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     @pytest.mark.parametrize("space", SPACES)
-    def test_autotune_identical_on_all_backends(self, graph_name, space):
-        """autotune=True is a pure execution choice: every backend's
-        output (and result-contract stats) must match its static run."""
+    def test_shards_identical_on_all_backends(self, graph_name, space):
+        """The shard count is a pure execution choice: every backend's
+        output (and result-contract stats) must match its default-shard
+        run."""
         graph = GRAPHS[graph_name]
         for backend in BACKENDS:
             outs, stats = {}, {}
-            for auto in (False, True):
-                stats[auto] = SwapStats()
-                outs[auto] = swap_edges(
+            for shards in (0, 64):
+                stats[shards] = SwapStats()
+                outs[shards] = swap_edges(
                     graph, 3,
                     ParallelConfig(
-                        threads=2, backend=backend, seed=97, autotune=auto
+                        threads=2, backend=backend, seed=97, shards=shards
                     ),
-                    stats=stats[auto], space=space,
+                    stats=stats[shards], space=space,
                 )
             np.testing.assert_array_equal(
-                outs[True].u, outs[False].u,
-                err_msg=f"{backend} autotune diverged ({graph_name}/{space})",
+                outs[64].u, outs[0].u,
+                err_msg=f"{backend} shards diverged ({graph_name}/{space})",
             )
             np.testing.assert_array_equal(
-                outs[True].v, outs[False].v,
-                err_msg=f"{backend} autotune diverged ({graph_name}/{space})",
+                outs[64].v, outs[0].v,
+                err_msg=f"{backend} shards diverged ({graph_name}/{space})",
             )
-            assert stats[True] == stats[False]
+            assert stats[64] == stats[0]
 
     def test_maintained_keys_match_repacked_registration(self, monkeypatch):
         """The swap chain's maintained key array (permuted alongside the

@@ -417,44 +417,6 @@ class TestReaper:
         _assert_no_repro_segments()
 
 
-class TestAutotunedRecovery:
-    """Faults during an obs-driven autotuned run: the replay (or the
-    post-replan geometry) must still reproduce the static fault-free
-    output bit for bit — tuning and supervision compose."""
-
-    def test_kill_during_autotuned_swap(self, baseline_swap):
-        graph, expect, _ = baseline_swap
-        stats = SwapStats()
-        out = swap_edges(
-            graph, 3,
-            _swap_cfg(faults="kill:w0:tas:2", autotune=True),
-            stats=stats,
-        )
-        _assert_no_repro_segments()
-        np.testing.assert_array_equal(out.u, expect.u)
-        np.testing.assert_array_equal(out.v, expect.v)
-        assert not stats.degraded
-        assert stats.faults and stats.faults[0].kind == "died"
-
-    def test_kill_during_autotuned_fused_run(self):
-        dist = DegreeDistribution([1, 2, 3, 6], [120, 70, 30, 12])
-        cfg = dict(threads=2, backend="process", seed=19, processes=2)
-        expect, ref_report = generate_graph(
-            dist, swap_iterations=3, config=ParallelConfig(**cfg)
-        )
-        assert ref_report.fused
-        out, report = generate_graph(
-            dist, swap_iterations=3,
-            config=ParallelConfig(**cfg, autotune=True, faults="kill:w0:tas:1"),
-        )
-        _assert_no_repro_segments()
-        np.testing.assert_array_equal(out.u, expect.u)
-        np.testing.assert_array_equal(out.v, expect.v)
-        assert report.fused and not report.degraded
-        assert ref_report.swap_stats == report.swap_stats
-        assert any(f.kind == "died" for f in report.faults)
-
-
 class TestCloseEscalation:
     def test_close_kills_stopped_worker(self):
         """A SIGSTOPped worker can't honor terminate(); close must
